@@ -16,7 +16,6 @@ from typing import Any, Iterator
 from repro.errors import KVError, TransactionConflictError
 from repro.kv.champ import ChampMap
 from repro.kv.serialization import (
-    decode_value,
     encode_dict_from_encoded,
     encode_value,
     freeze_key,
@@ -320,19 +319,4 @@ class KVStore:
         store.version = version
         store._history = {version: dict(store._maps)}
         store._history_order = [version]
-        return store
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "KVStore":
-        state = decode_value(data)
-        if not isinstance(state, dict) or "version" not in state or "maps" not in state:
-            raise KVError("malformed store snapshot")
-        store = cls()
-        for name, rows in state["maps"].items():
-            store._maps[name] = ChampMap.from_items(
-                (freeze_key(key), value) for key, value in rows
-            )
-        store.version = state["version"]
-        store._history = {store.version: dict(store._maps)}
-        store._history_order = [store.version]
         return store

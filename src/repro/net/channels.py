@@ -181,12 +181,12 @@ class FrameAssembler:
     is accepted iff its pair is >= the watermark, which then advances to
     ``(counter, index + 1)``.
 
-    This is order-isomorphic to the legacy per-message counters: number the
-    messages of the uncoalesced run in send order and `(counter, index)`
-    enumerates exactly that sequence, so "accept iff not overtaken by a
-    later-accepted message" drops the same messages under any reordering,
-    duplication, or loss pattern — the property the coalescing-on/off
-    differential chaos test pins down.
+    This is order-isomorphic to per-message counters: number the messages
+    of an uncoalesced run in send order and `(counter, index)` enumerates
+    exactly that sequence, so "accept iff not overtaken by a later-accepted
+    message" drops the same messages under any reordering, duplication, or
+    loss pattern — the property the chaos differential against one-segment
+    frames pins down.
     """
 
     def __init__(self, channels: NodeChannels):

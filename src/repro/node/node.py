@@ -23,13 +23,16 @@ from typing import Callable
 
 from repro.app.application import Application
 from repro.app.context import Caller, Request, RequestContext, Response
-from repro.consensus.messages import decode_message, encode_message
+from repro.consensus.messages import (
+    CONSENSUS_MESSAGE_TYPES,
+    decode_message,
+    encode_message,
+)
 from repro.consensus.raft import ConsensusNode
 from repro.consensus.state import NodeStatus
 from repro.crypto.certs import Certificate, issue
 from repro.crypto.ct import ct_eq
 from repro.crypto.ecdsa import SigningKey, VerifyingKey
-from repro.crypto.hashing import sha256
 from repro.crypto.x25519 import DHPrivateKey
 from repro.errors import (
     AttestationError,
@@ -67,7 +70,6 @@ from repro.node.wire import (
     PendingFrame,
     JoinRequest,
     JoinResponse,
-    SealedConsensusMessage,
     StateChunkRequest,
     StateChunkResponse,
 )
@@ -120,6 +122,8 @@ class CCFNode:
 
         self.service_certificate: Certificate | None = None
         self.node_certificate: Certificate | None = None
+        # Trust anchor a join response must match (set by request_join).
+        self._expected_service: Certificate | None = None
 
         self._workers = [0.0] * config.worker_threads
         self._txs_since_signature = 0
@@ -144,7 +148,9 @@ class CCFNode:
         self._batch_apply_next = 0
         self._batches_completed: dict[int, tuple[list, int]] = {}
         self._last_snapshot_seqno = 0
-        self._latest_snapshot: dict | None = None  # join-ready package
+        self._snapshot_package: dict | None = None  # join-ready package
+        # Snapshot awaiting its evidence commit + signature (primary).
+        self._pending_snapshot: dict | None = None
         # Delta-snapshot production state (primary): the previous snapshot's
         # map table + sealed chunks, so clean maps reuse their chunks.
         self._snapshot_baseline: statetransfer.SnapshotBaseline | None = None
@@ -430,20 +436,16 @@ class CCFNode:
             for node_id, info in self.store.items(maps.NODES_INFO)
             if info.get("dh_public")
         }
-        snapshot = self._latest_snapshot or {}
-        # A chunked snapshot ships its manifest only; the joiner pulls the
-        # chunks it is missing afterwards. A monolithic snapshot rides the
-        # response whole, as before.
-        chunked = "chunks" in snapshot
+        snapshot = self._snapshot_package or {}
+        # A snapshot ships its manifest only; the joiner pulls the chunks it
+        # is missing afterwards.
         response = JoinResponse(
             accepted=True,
             service_certificate=self.service_certificate.to_dict(),
             node_certificate=node_certificate.to_dict(),
             sealed_secrets=(sealed.sender, sealed.counter, sealed.box),
-            snapshot=b"" if chunked else snapshot.get("data", b""),
-            snapshot_metadata=snapshot.get("metadata"),
+            snapshot_manifest=snapshot.get("metadata"),
             snapshot_receipt=snapshot.get("receipt"),
-            snapshot_manifest=snapshot.get("metadata") if chunked else None,
             current_nodes=tuple(sorted(self.consensus.configurations.current.nodes)),
             config_base_seqno=self.consensus.configurations.current.seqno,
             peer_dh_publics=peer_dh,
@@ -469,12 +471,11 @@ class CCFNode:
         if message.node_id not in self.consensus.configurations.current.nodes:
             self.consensus.add_learner(message.node_id, next_seqno)
         # Reply to the joiner itself — with forwarding, ``src`` may be the
-        # relaying backup rather than the joining node. Shipping state costs
-        # wire time proportional to its size (the whole blob for monolithic
-        # snapshots, just the manifest for chunked ones).
-        state_bytes = len(response.snapshot)
-        if response.snapshot_metadata is not None:
-            state_bytes += len(encode_value(response.snapshot_metadata))
+        # relaying backup rather than the joining node. Shipping the
+        # manifest costs wire time proportional to its size.
+        state_bytes = 0
+        if response.snapshot_manifest is not None:
+            state_bytes = len(encode_value(response.snapshot_manifest))
         self.network.send(
             self.node_id,
             message.node_id,
@@ -490,7 +491,7 @@ class CCFNode:
         Ids this node cannot produce are reported back as ``missing`` so the
         joiner can fall back instead of stalling."""
         del src  # replies go to the joining node named in the request
-        package = self._latest_snapshot or {}
+        package = self._snapshot_package or {}
         available: dict = package.get("chunks") or {}
         found: list[tuple[str, bytes]] = []
         missing: list[str] = []
@@ -538,7 +539,7 @@ class CCFNode:
         if not message.accepted:
             raise AttestationError(f"join rejected: {message.error}")
         service_certificate = Certificate.from_dict(message.service_certificate)
-        expected: Certificate = getattr(self, "_expected_service", None)
+        expected = self._expected_service
         if expected is not None and service_certificate != expected:
             raise VerificationError("join response from an unexpected service")
         service_certificate.verify_self_signed()
@@ -582,43 +583,15 @@ class CCFNode:
             # Joining completes asynchronously in _complete_chunked_install.
             self._begin_chunked_transfer(src, message)
             return
-
-        base_seqno = 0
-        if message.snapshot:
-            metadata = message.snapshot_metadata
-            receipt = Receipt.from_dict(message.snapshot_receipt)
-            receipt.verify(service_certificate)
-            digest = bytes(sha256(message.snapshot, encode_value(metadata)))
-            claimed = (receipt.claims or {}).get("snapshot_digest")
-            if not ct_eq(claimed, digest.hex()):
-                raise VerificationError("snapshot does not match its receipt claims")
-            # The snapshot arrives sealed (its digest covers the sealed
-            # bytes); decrypt with the generation named in the verified
-            # metadata, which doubles as the AEAD's associated data.
-            secret = secrets.for_generation(metadata.get("secret_generation", 0))
-            plain = secret.open_snapshot(
-                metadata["base_seqno"], message.snapshot, aad=encode_value(metadata)
-            )
-            self.store = KVStore.deserialize(plain)
-            self.ledger = Ledger.from_snapshot_metadata(
-                secrets,
-                base_seqno=metadata["base_seqno"],
-                txids=[TxID(v, s) for v, s in metadata["txids"]],
-                leaf_hashes=list(metadata["leaf_hashes"]),
-                last_signature_txid=TxID(*metadata["last_signature_txid"]),
-            )
-            base_seqno = metadata["base_seqno"]
-            self._commit_scan = base_seqno
-            self.indexer.last_indexed = base_seqno
-        else:
-            self.store = KVStore()
-            self.ledger = Ledger(secrets)
-        self._finish_join(message, base_seqno)
+        # No snapshot: start empty and catch up by replication.
+        self.store = KVStore()
+        self.ledger = Ledger(secrets)
+        self._finish_join(message, 0)
 
     def _finish_join(self, message: JoinResponse, base_seqno: int) -> None:
         """Shared join tail: store/ledger are installed; start consensus."""
         self.wire_obs(self.scheduler.obs)
-        from_snapshot = bool(message.snapshot) or message.snapshot_manifest is not None
+        from_snapshot = message.snapshot_manifest is not None
         config_base = message.config_base_seqno if from_snapshot else 0
         self.consensus = ConsensusNode(
             node_id=self.node_id,
@@ -804,9 +777,7 @@ class CCFNode:
         """
         from repro.recovery.recovery import replay_public_ledger
 
-        replay = replay_public_ledger(
-            salvaged_storage, fast_path=self.config.replay_fast_path
-        )
+        replay = replay_public_ledger(salvaged_storage)
         obs = self.scheduler.obs
         if obs is not None:
             obs.recovery_event(
@@ -945,25 +916,13 @@ class CCFNode:
             return
         if not self.channels.has_channel(to):
             return  # channel not yet established; retried by protocol
-        if self.config.frame_coalescing:
-            self._send_framed(to, message)
-            return
-        sealed = self.channels.seal(to, encode_message(message))
-        payload = SealedConsensusMessage(
-            sender=sealed.sender, counter=sealed.counter, box=sealed.box
-        )
-        self.network.send(self.node_id, to, payload)
-
-    def _send_framed(self, to: str, message: object) -> None:
-        """Queue ``message`` into this event's frame for ``to`` and put its
-        segment on the wire immediately.
-
-        The segment takes the exact network path (event, sequence number,
-        latency draw) the sealed message would have taken — only the AEAD
-        work moves, into one end-of-event seal per peer. The seal microtask
-        draws no randomness and schedules nothing, so a traced run is
-        bit-identical with coalescing on or off.
-        """
+        # Queue ``message`` into this event's frame for ``to`` and put its
+        # segment on the wire immediately. The segment takes the exact
+        # network path (event, sequence number, latency draw) a separately
+        # sealed message would have taken — only the AEAD work moves, into
+        # one end-of-event seal per peer. The seal microtask draws no
+        # randomness and schedules nothing, so the run is bit-identical to
+        # sealing each message on its own.
         pending = self._pending_frames.get(to)
         if pending is None:
             pending = (PendingFrame(), [])
@@ -1232,38 +1191,30 @@ class CCFNode:
         # verifiable without decrypting.
         secret = self.ledger.secrets.current()
         metadata["secret_generation"] = secret.generation
-        if self.config.delta_snapshots:
-            # Incremental production: serialize + seal only maps that
-            # changed since the previous snapshot; clean maps reuse their
-            # previous sealed chunks (same content ⇒ same chunk id). The
-            # receipt claim digests the manifest, which lists every chunk
-            # id, so all chunks are transitively receipt-covered.
-            built = statetransfer.build_chunked_snapshot(
-                self.store,
-                commit_seqno,
-                secret,
-                metadata,
-                chunk_bytes=self.config.snapshot_chunk_bytes,
-                baseline=self._snapshot_baseline,
-            )
-            digest = bytes(statetransfer.manifest_digest(built.metadata))
-            obs = self.scheduler.obs
-            if obs is not None:
-                obs.snapshot_produced(self.node_id, commit_seqno, built.stats)
-            pending = {
-                "metadata": built.metadata,
-                "chunks": built.chunks,
-                "map_chunks": built.map_chunks,
-                "table": self.store.map_table_at(commit_seqno),
-                "generation": secret.generation,
-            }
-        else:
-            # Legacy monolithic path: the whole store, one sealed blob, the
-            # metadata (naming the generation) bound as AAD.
-            data = self.store.serialize_at(commit_seqno)
-            sealed = secret.seal_snapshot(commit_seqno, data, aad=encode_value(metadata))
-            digest = bytes(sha256(sealed, encode_value(metadata)))
-            pending = {"data": sealed, "metadata": metadata}
+        # Incremental production: serialize + seal only maps that changed
+        # since the previous snapshot; clean maps reuse their previous
+        # sealed chunks (same content ⇒ same chunk id). The receipt claim
+        # digests the manifest, which lists every chunk id, so all chunks
+        # are transitively receipt-covered.
+        built = statetransfer.build_chunked_snapshot(
+            self.store,
+            commit_seqno,
+            secret,
+            metadata,
+            chunk_bytes=self.config.snapshot_chunk_bytes,
+            baseline=self._snapshot_baseline,
+        )
+        digest = bytes(statetransfer.manifest_digest(built.metadata))
+        obs = self.scheduler.obs
+        if obs is not None:
+            obs.snapshot_produced(self.node_id, commit_seqno, built.stats)
+        pending = {
+            "metadata": built.metadata,
+            "chunks": built.chunks,
+            "map_chunks": built.map_chunks,
+            "table": self.store.map_table_at(commit_seqno),
+            "generation": secret.generation,
+        }
         # Snapshot evidence transaction (validated by receipt, section 4.4).
         write_set = WriteSet()
         write_set.put(
@@ -1279,7 +1230,7 @@ class CCFNode:
         self._request_signature_soon()
 
     def _finalize_snapshot_if_ready(self) -> None:
-        pending = getattr(self, "_pending_snapshot", None)
+        pending = self._pending_snapshot
         if pending is None:
             return
         evidence_seqno = pending["evidence_seqno"]
@@ -1290,39 +1241,33 @@ class CCFNode:
         receipt = issue_receipt(
             self.ledger, evidence_seqno, self.node_certificate, claims=pending["claims"]
         )
-        package = {
+        self._snapshot_package = {
             "metadata": pending["metadata"],
             "receipt": receipt.to_dict(),
+            "chunks": pending["chunks"],
         }
         base_seqno = pending["metadata"]["base_seqno"]
-        if "chunks" in pending:
-            package["chunks"] = pending["chunks"]
-            self._latest_snapshot = package
-            # Persist the chunk set (content-addressed, so re-writing a
-            # reused chunk is skipped) and prune chunks no manifest we still
-            # serve references; the manifest file makes the snapshot
-            # reconstructable from disk alone.
-            for chunk_id, blob in pending["chunks"].items():
-                if self.storage.read_state_chunk(chunk_id) is None:
-                    self.storage.write_state_chunk(chunk_id, blob)
-            self.storage.prune_state_chunks(set(pending["chunks"]))
-            for name in self.storage.list_files("manifest_"):
-                self.storage.delete(name, sync=False)
-            self.storage.write(
-                f"manifest_{base_seqno}.bin",
-                encode_value(pending["metadata"]),
-                sync=True,
-            )
-            # Next delta builds against this snapshot's table + chunks.
-            self._snapshot_baseline = statetransfer.SnapshotBaseline(
-                table=pending["table"],
-                map_chunks=pending["map_chunks"],
-                generation=pending["generation"],
-            )
-        else:
-            package["data"] = pending["data"]
-            self._latest_snapshot = package
-            self.storage.write_snapshot(base_seqno, pending["data"])
+        # Persist the chunk set (content-addressed, so re-writing a reused
+        # chunk is skipped) and prune chunks no manifest we still serve
+        # references; the manifest file makes the snapshot reconstructable
+        # from disk alone.
+        for chunk_id, blob in pending["chunks"].items():
+            if self.storage.read_state_chunk(chunk_id) is None:
+                self.storage.write_state_chunk(chunk_id, blob)
+        self.storage.prune_state_chunks(set(pending["chunks"]))
+        for name in self.storage.list_files("manifest_"):
+            self.storage.delete(name, sync=False)
+        self.storage.write(
+            f"manifest_{base_seqno}.bin",
+            encode_value(pending["metadata"]),
+            sync=True,
+        )
+        # Next delta builds against this snapshot's table + chunks.
+        self._snapshot_baseline = statetransfer.SnapshotBaseline(
+            table=pending["table"],
+            map_chunks=pending["map_chunks"],
+            generation=pending["generation"],
+        )
         self._pending_snapshot = None
 
     # ==================================================================
@@ -1437,16 +1382,6 @@ class CCFNode:
             if raw is not None and self.consensus is not None:
                 self.consensus.dispatch(decode_message(raw))
             return
-        if isinstance(payload, SealedConsensusMessage):
-            try:
-                raw = self.channels.open(
-                    SealedMessage(sender=payload.sender, counter=payload.counter, box=payload.box)
-                )
-            except VerificationError:
-                return  # unknown peer or tampered box: drop
-            if self.consensus is not None:
-                self.consensus.dispatch(decode_message(raw))
-            return
         if isinstance(payload, ClientRequest):
             self._enqueue_request(src, payload.request)
             return
@@ -1471,8 +1406,14 @@ class CCFNode:
         if isinstance(payload, ChannelHello):
             self.channels.establish(payload.sender, payload.dh_public)
             return
-        # Plain consensus message (secure_channels disabled).
-        if self.consensus is not None:
+        # Plain consensus messages are accepted only when channels are off;
+        # with secure channels the untrusted host could otherwise inject
+        # forged votes or entries. Anything else is dropped.
+        if (
+            not self.config.secure_channels
+            and isinstance(payload, CONSENSUS_MESSAGE_TYPES)
+            and self.consensus is not None
+        ):
             self.consensus.dispatch(payload)
 
     # ==================================================================

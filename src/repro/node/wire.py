@@ -55,15 +55,6 @@ class ChannelHello:
     dh_public: bytes
 
 
-@dataclass(frozen=True)
-class SealedConsensusMessage:
-    """A consensus message sealed under the pairwise channel key."""
-
-    sender: str
-    counter: int
-    box: bytes
-
-
 class PendingFrame:
     """A coalesced wire frame, mutable until sealed.
 
@@ -117,8 +108,8 @@ class JoinResponse:
 
     Sent only after the quote verified against the governance-approved code
     ids; contains the service identity, the ledger secrets (all
-    generations), the latest snapshot (if any) with its metadata, and the
-    node certificate endorsed by the service identity.
+    generations), the latest snapshot's manifest (if any), and the node
+    certificate endorsed by the service identity.
     """
 
     accepted: bool
@@ -129,23 +120,18 @@ class JoinResponse:
     # channel key (they must never transit the untrusted network in the
     # clear): (sender, counter, box).
     sealed_secrets: tuple = ()
-    # Serialized KV state sealed under the ledger secret generation named in
-    # ``snapshot_metadata["secret_generation"]`` — private maps never transit
-    # (or rest on) the host unsealed. The receipt claim digests these sealed
-    # bytes, so integrity is checkable before decryption.
-    snapshot: bytes = b""
-    snapshot_metadata: dict | None = None
+    # Chunked state transfer: when the primary holds a snapshot it ships the
+    # signed *manifest* here. The manifest (format, base seqno, secret
+    # generation, per-map chunk-id listing, ledger metadata) is covered by
+    # ``snapshot_receipt`` via its canonical digest; the joiner then pulls
+    # only the sealed chunks it doesn't already hold with StateChunkRequest.
+    # None: no snapshot yet, so the joiner starts empty and catches up by
+    # replication.
+    snapshot_manifest: dict | None = None
     snapshot_receipt: dict | None = None
     current_nodes: tuple = ()  # ids of the current configuration
     config_base_seqno: int = 0
     peer_dh_publics: dict = field(default_factory=dict)  # node id -> DH public
-    # Chunked state transfer: when the primary holds a chunked snapshot it
-    # ships the signed *manifest* here instead of a monolithic ``snapshot``
-    # blob. The manifest (format, base seqno, secret generation, per-map
-    # chunk-id listing, ledger metadata) is covered by ``snapshot_receipt``
-    # via its canonical digest; the joiner then pulls only the chunks it
-    # doesn't already hold with StateChunkRequest.
-    snapshot_manifest: dict | None = None
 
 
 @dataclass(frozen=True)

@@ -123,18 +123,16 @@ class PublicReplayResult:
     warnings: list[SalvageWarning] = field(default_factory=list)
 
 
-def replay_public_ledger(
-    storage: HostStorage, *, fast_path: bool = True
-) -> PublicReplayResult:
+def replay_public_ledger(storage: HostStorage) -> PublicReplayResult:
     """Rebuild ledger + public store from untrusted chunk files, verifying
     every signature transaction against node identities found in the public
     state itself. Entries after the last verifiable signature are dropped,
     and so are chunk files a crash tore or a host corrupted — each with a
     typed :class:`SalvageWarning` (best effort, as the paper specifies).
 
-    ``fast_path`` selects the batched replay (:func:`_replay_entries_fast`);
-    the serial replay stays available as the differential-testing oracle —
-    both produce byte-identical results on any salvaged input."""
+    The replay is batched (:func:`_replay_entries_fast`); the serial
+    :func:`_replay_entries_slow` is the reference the tests compare it
+    against — both produce byte-identical results on any salvaged input."""
     try:
         entries, salvage_warnings = salvage_ledger_entries(storage)
     # Salvaged disks hold arbitrary bytes; any failure to even enumerate
@@ -147,8 +145,7 @@ def replay_public_ledger(
             "no ledger entries salvageable from this disk"
             + (f" ({salvage_warnings[0].describe()})" if salvage_warnings else "")
         )
-    replay = _replay_entries_fast if fast_path else _replay_entries_slow
-    return replay(entries, salvage_warnings)
+    return _replay_entries_fast(entries, salvage_warnings)
 
 
 def _replay_entries_slow(

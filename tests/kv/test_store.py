@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KVError, TransactionConflictError
+from repro.kv.serialization import decode_value, encode_value
 from repro.kv.store import KVStore
 from repro.kv.tx import REMOVED, WriteSet, is_public_map
+from repro.ledger import statetransfer
+from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
 
 
 class TestWriteSet:
@@ -219,6 +222,16 @@ class TestVersioningAndRollback:
             assert dict(store.items(name)) == dict(replayed.items(name))
 
 
+def restore(store: KVStore) -> KVStore:
+    """Rebuild ``store`` the way a joiner installs a snapshot: per-map
+    canonical rows through the wire codec, then ``from_map_rows``."""
+    rows = {
+        name: KVStore.canonical_map_rows(champ)
+        for name, champ in store.map_table_at(store.version).items()
+    }
+    return KVStore.from_map_rows(decode_value(encode_value(rows)), store.version)
+
+
 class TestSnapshots:
     def test_serialize_deserialize_roundtrip(self):
         store = KVStore()
@@ -226,12 +239,15 @@ class TestSnapshots:
         ws.put("public:ccf.gov.users", "u0", {"cert": "abc"})
         ws.put("messages", 42, "hello")
         ws.put("messages", 43, b"binary")
+        ws.put("messages", (7, "tuple-key"), "frozen")
         store.apply_write_set(ws, 10)
-        restored = KVStore.deserialize(store.serialize())
+        restored = restore(store)
+        assert restored.serialize() == store.serialize()
         assert restored.version == 10
         assert restored.get("messages", 42) == "hello"
         assert restored.get("messages", 43) == b"binary"
         assert restored.get("public:ccf.gov.users", "u0") == {"cert": "abc"}
+        assert restored.get("messages", (7, "tuple-key")) == "frozen"
 
     def test_snapshot_encoding_is_deterministic(self):
         def build():
@@ -245,15 +261,28 @@ class TestSnapshots:
         assert build() == build()
 
     def test_deserialize_rejects_garbage(self):
+        # Snapshot state installs from sealed chunks: a chunk that opens
+        # under the ledger secret but holds garbage rows is rejected.
+        secret = LedgerSecret.generate(b"garbage-chunk")
+        blob = statetransfer.seal_state_chunk(secret, b"\xff\x00garbage")
+        cid = statetransfer.chunk_id(blob)
+        manifest = {
+            "format": statetransfer.CHUNK_FORMAT,
+            "base_seqno": 1,
+            "secret_generation": secret.generation,
+            "chunk_maps": [["m", [cid]]],
+        }
         with pytest.raises(KVError):
-            KVStore.deserialize(b"\xff\x00garbage")
+            statetransfer.assemble_store(
+                manifest, {cid: blob}, LedgerSecretStore(secret)
+            )
 
     def test_restored_store_supports_further_writes(self):
         store = KVStore()
         ws = WriteSet()
         ws.put("m", "a", 1)
         store.apply_write_set(ws, 5)
-        restored = KVStore.deserialize(store.serialize())
+        restored = restore(store)
         ws2 = WriteSet()
         ws2.put("m", "b", 2)
         restored.apply_write_set(ws2, 6)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import KVError
 from repro.kv.champ import ChampMap
-from repro.kv.serialization import encode_value
+from repro.kv.serialization import decode_value, encode_value
 from repro.kv.store import KVStore, set_transient_apply
 from repro.kv.tx import WriteSet
 from repro.obs.metrics import RUNTIME_STATS
@@ -195,8 +195,10 @@ def test_memoized_serialize_is_byte_identical():
         1,
     )
     assert store.serialize() == _reference_serialize(store)
-    # Roundtrip through the transient-built deserialize path.
-    assert KVStore.deserialize(store.serialize()).serialize() == store.serialize()
+    # Roundtrip through the transient-built snapshot install path.
+    rows = {name: KVStore.canonical_map_rows(champ) for name, champ in store._maps.items()}
+    restored = KVStore.from_map_rows(decode_value(encode_value(rows)), store.version)
+    assert restored.serialize() == store.serialize()
 
 
 def test_clean_maps_hit_the_encode_memo():

@@ -1,26 +1,60 @@
 """Coalesced sealed wire frames (PR 10).
 
 The coalescing claim is sharp: all consensus messages one node produces for
-one peer within one scheduler event share a single AEAD seal, and turning
-this on or off changes *nothing observable* — not one event, not one RNG
-draw, not one ledger byte. These tests pin the claim at three levels: the
-frame crypto itself (roundtrip, tamper, nonce discipline), the segment
-replay watermark (provably order-isomorphic to per-message counters), and
-seeded full-stack chaos schedules diffed digest-for-digest on vs off.
+one peer within one scheduler event share a single AEAD seal, and that
+changes *nothing observable* compared with sealing every message on its
+own — not one event, not one RNG draw, not one ledger byte. These tests pin
+the claim at three levels: the frame crypto itself (roundtrip, tamper,
+nonce discipline), the segment replay watermark (provably
+order-isomorphic to per-message counters), and seeded full-stack chaos
+schedules diffed digest-for-digest against a tests-only sender that seals
+each message at once into its own one-segment frame.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 
 import pytest
 
+from repro.consensus.messages import encode_message
 from repro.crypto.x25519 import DHPrivateKey
 from repro.errors import VerificationError
 from repro.net.channels import FrameAssembler, NodeChannels
+from repro.node.node import CCFNode
+from repro.node.wire import FrameSegment, PendingFrame
 from repro.obs.metrics import RUNTIME_STATS
 from repro.sim.chaos import ChaosEngine, ChaosSpec
 from repro.sim.trace import TraceRecorder
+
+
+def _one_segment_send(self: CCFNode, to: str, message: object) -> None:
+    """Oracle sender: seal ``message`` immediately into its own one-segment
+    frame instead of coalescing it into the end-of-event frame."""
+    if not self.config.secure_channels:
+        self.network.send(self.node_id, to, message)
+        return
+    if not self.channels.has_channel(to):
+        return
+    raw = encode_message(message)
+    sealed = self.channels.seal_frame(to, [raw])
+    frame = PendingFrame()
+    frame.sender, frame.counter, frame.box = sealed.sender, sealed.counter, sealed.box
+    frame.count = 1
+    frame.payload_sizes.append(len(raw))
+    self.network.send(self.node_id, to, FrameSegment(frame=frame, index=0))
+
+
+@contextlib.contextmanager
+def _sender(coalescing: bool):
+    """Run the body with the production (coalescing) sender, or with the
+    one-segment oracle patched onto every node."""
+    if coalescing:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CCFNode, "send_consensus_message", _one_segment_send)
+        yield
 
 
 def _pair() -> tuple[NodeChannels, NodeChannels]:
@@ -142,14 +176,16 @@ class TestFrameAssembler:
 
 
 class TestChaosDifferential:
-    """Acceptance gate: seeded chaos runs are bit-identical on vs off."""
+    """Acceptance gate: seeded chaos runs are bit-identical with coalescing
+    ("on") and with the one-segment oracle sender ("off")."""
 
     @pytest.mark.parametrize("seed", list(range(10)))
     def test_trace_digests_identical_on_off(self, seed: int):
         def run(coalescing: bool):
-            spec = ChaosSpec(n_nodes=3, steps=2, frame_coalescing=coalescing)
+            spec = ChaosSpec(n_nodes=3, steps=2)
             tracer = TraceRecorder()
-            report = ChaosEngine(spec).run_schedule(seed, tracer=tracer)
+            with _sender(coalescing):
+                report = ChaosEngine(spec).run_schedule(seed, tracer=tracer)
             return tracer.digest, report.fingerprint()
 
         digest_on, fingerprint_on = run(True)
@@ -160,23 +196,22 @@ class TestChaosDifferential:
     def test_ledger_bytes_identical_on_off(self):
         """Beyond digests: the replicated ledgers themselves, byte for
         byte, across every node of a healthy service under load."""
-        from repro.node.config import NodeConfig
         from repro.service.service import CCFService, ServiceSetup
 
         def ledgers(coalescing: bool) -> dict[str, list[bytes]]:
-            service = CCFService(
-                ServiceSetup(
-                    n_nodes=3,
-                    node_config=NodeConfig(frame_coalescing=coalescing),
-                    seed=7,
-                )
-            )
-            service.bootstrap()
-            user = service.any_user_client()
-            primary = service.primary_node().node_id
-            for i in range(20):
-                user.call(primary, "/app/write_message", {"id": i, "msg": f"m{i}"})
-            service.run(1.0)
+            RUNTIME_STATS.reset()
+            service = CCFService(ServiceSetup(n_nodes=3, seed=7))
+            with _sender(coalescing):
+                service.bootstrap()
+                user = service.any_user_client()
+                primary = service.primary_node().node_id
+                for i in range(20):
+                    user.call(primary, "/app/write_message", {"id": i, "msg": f"m{i}"})
+                service.run(1.0)
+            if not coalescing:
+                # The oracle really ran: one sealed frame per segment sent.
+                sealed = RUNTIME_STATS.get("channel.frames.sealed")
+                assert sealed == service.network.segments_sent > 0
             return {
                 node_id: [entry.encode() for entry in node.ledger.entries()]
                 for node_id, node in service.nodes.items()
@@ -198,7 +233,7 @@ class TestChaosDifferential:
         service = CCFService(
             ServiceSetup(
                 n_nodes=3,
-                node_config=NodeConfig(frame_coalescing=True, batch_execution=True),
+                node_config=NodeConfig(batch_execution=True),
                 seed=13,
             )
         )
@@ -214,7 +249,3 @@ class TestChaosDifferential:
         assert messages > sealed  # some frame carried more than one message
         assert service.network.segments_sent > 0
 
-
-def test_chaos_spec_coalescing_in_fingerprint():
-    spec = ChaosSpec(frame_coalescing=False)
-    assert dataclasses.asdict(spec)["frame_coalescing"] is False

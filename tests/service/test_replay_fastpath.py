@@ -1,9 +1,11 @@
 """Replay fast path: batched recovery replay vs the serial oracle.
 
-The fast path (:func:`repro.recovery.recovery._replay_entries_fast`) defers
-ledger appends and signature checks into batches; these tests prove it is
-*byte-identical* to the serial replay on clean ledgers, tampered ledgers
-(bad signature, bad content), and structurally broken suffixes.
+The fast path (:func:`repro.recovery.recovery._replay_entries_fast`, the
+only replay :func:`replay_public_ledger` runs) defers ledger appends and
+signature checks into batches; these tests prove it is *byte-identical* to
+the serial reference replay (``_replay_entries_slow``) on clean ledgers,
+tampered ledgers (bad signature, bad content), and structurally broken
+suffixes.
 """
 
 import dataclasses
@@ -53,12 +55,20 @@ def assert_identical(fast, slow):
     assert fast.store.serialize_at(v) == slow.store.serialize_at(v)
 
 
+def replay_both(storage):
+    """The production replay of ``storage`` and the serial reference
+    replay of the same salvaged entries, each on its own copy."""
+    fast = replay_public_ledger(storage.clone())
+    entries, warnings = salvage_ledger_entries(storage.clone())
+    slow = _replay_entries_slow(entries, list(warnings))
+    return fast, slow
+
+
 class TestCleanLedgers:
     def test_fast_matches_slow_on_real_disk(self):
         service = traffic_service()
         storage = service.primary_node().storage
-        fast = replay_public_ledger(storage.clone(), fast_path=True)
-        slow = replay_public_ledger(storage.clone(), fast_path=False)
+        fast, slow = replay_both(storage)
         assert_identical(fast, slow)
         assert fast.verified_seqno > 0
 
@@ -66,8 +76,7 @@ class TestCleanLedgers:
     def test_fast_matches_slow_across_seeds(self, seed):
         service = traffic_service(seed=1000 + seed, writes=30)
         storage = service.primary_node().storage
-        fast = replay_public_ledger(storage.clone(), fast_path=True)
-        slow = replay_public_ledger(storage.clone(), fast_path=False)
+        fast, slow = replay_both(storage)
         assert_identical(fast, slow)
 
     def test_fast_matches_slow_after_failover(self):
@@ -83,8 +92,7 @@ class TestCleanLedgers:
             user.call(new_primary.node_id, "/app/write_message", {"id": 100 + i, "msg": "x"})
         service.run(0.5)
         storage = new_primary.storage
-        fast = replay_public_ledger(storage.clone(), fast_path=True)
-        slow = replay_public_ledger(storage.clone(), fast_path=False)
+        fast, slow = replay_both(storage)
         assert_identical(fast, slow)
         assert fast.last_view > 1
 
@@ -184,12 +192,17 @@ class TestTamperedLedgers:
 
 class TestRecoveryEndToEnd:
     def test_recovered_service_identical_under_both_paths(self):
-        """Full disaster recovery driven through the node API with the fast
-        path on and off: same verified prefix, same recovered state."""
-        results = {}
-        for fast in (True, False):
-            service = traffic_service(seed=7, writes=40)
-            salvaged = service.primary_node().storage.clone()
-            result = replay_public_ledger(salvaged, fast_path=fast)
-            results[fast] = result
-        assert_identical(results[True], results[False])
+        """Full disaster recovery driven through the node API against the
+        serial reference: same verified prefix, same recovered ledger."""
+        service = traffic_service(seed=7, writes=40)
+        salvaged = service.primary_node().storage.clone()
+        entries, warnings = salvage_ledger_entries(salvaged.clone())
+        slow = _replay_entries_slow(entries, list(warnings))
+        node = service._make_node(service.new_node_id())
+        summary = node.start_recovered_service(salvaged, "recovered")
+        verified = summary["verified_seqno"]
+        assert verified == slow.verified_seqno > 0
+        assert summary["previous_service_identity"] == slow.previous_service_identity
+        assert [e.encode() for e in node.ledger.entries(1, verified)] == [
+            e.encode() for e in slow.ledger.entries(1, verified)
+        ]

@@ -28,21 +28,19 @@ class TestSnapshots:
     def test_primary_produces_snapshots(self, service):
         fill(service, 40)
         primary = service.primary_node()
-        assert primary._latest_snapshot is not None
-        # Chunked snapshots persist as a manifest plus content-addressed
-        # chunks; the legacy path writes one monolithic snapshot file.
-        if "chunks" in primary._latest_snapshot:
-            assert primary.storage.list_files("manifest_")
-            assert primary.storage.state_chunk_ids()
-        else:
-            assert primary.storage.latest_snapshot() is not None
+        package = primary._snapshot_package
+        assert package is not None
+        # Snapshots persist as a manifest plus content-addressed chunks.
+        assert package["chunks"]
+        assert primary.storage.list_files("manifest_")
+        assert set(primary.storage.state_chunk_ids()) == set(package["chunks"])
 
     def test_snapshot_receipt_verifies(self, service):
         fill(service, 40)
         primary = service.primary_node()
         from repro.ledger.receipts import Receipt
 
-        receipt = Receipt.from_dict(primary._latest_snapshot["receipt"])
+        receipt = Receipt.from_dict(primary._snapshot_package["receipt"])
         receipt.verify(primary.service_certificate)
 
     def test_join_from_snapshot_skips_replay(self, service):
@@ -92,7 +90,7 @@ class TestSnapshots:
         the manifest digest in the receipt's claims must match."""
         fill(service, 40)
         primary = service.primary_node()
-        package = primary._latest_snapshot
+        package = primary._snapshot_package
         assert "chunks" in package
         # Swap one chunk id in the manifest the primary would serve.
         metadata = dict(package["metadata"])
@@ -100,7 +98,7 @@ class TestSnapshots:
         metadata["chunk_maps"] = [[name, ["00" * 32] + list(ids)[1:]]] + [
             list(row) for row in metadata["chunk_maps"][1:]
         ]
-        primary._latest_snapshot = dict(package, metadata=metadata)
+        primary._snapshot_package = dict(package, metadata=metadata)
         self._make_joiner(service, primary)
         with pytest.raises(VerificationError):
             service.run(0.5)
@@ -110,33 +108,16 @@ class TestSnapshots:
         rejected rather than installed (or re-fetched forever)."""
         fill(service, 40)
         primary = service.primary_node()
-        package = primary._latest_snapshot
+        package = primary._snapshot_package
         assert "chunks" in package
         chunks = dict(package["chunks"])
         victim = next(iter(chunks))
         blob = chunks[victim]
         chunks[victim] = b"\x00" + blob[1:]
-        primary._latest_snapshot = dict(package, chunks=chunks)
+        primary._snapshot_package = dict(package, chunks=chunks)
         # The disk cache would satisfy the request with good bytes; tamper
         # it the same way so the substitution is actually served.
         primary.storage.files[f"state_{victim}.chunk"] = chunks[victim]
-        self._make_joiner(service, primary)
-        with pytest.raises(VerificationError):
-            service.run(0.5)
-
-    def test_tampered_monolithic_snapshot_rejected_by_joiner(self):
-        """Same property on the legacy single-blob snapshot path."""
-        service = make_service(
-            n_nodes=3,
-            node_config=NodeConfig(
-                signature_interval=10, snapshot_interval=20, delta_snapshots=False
-            ),
-        )
-        fill(service, 40)
-        primary = service.primary_node()
-        package = primary._latest_snapshot
-        tampered = dict(package, data=b"\x00" + package["data"][1:])
-        primary._latest_snapshot = tampered
         self._make_joiner(service, primary)
         with pytest.raises(VerificationError):
             service.run(0.5)

@@ -122,11 +122,11 @@ class TestChunkedJoin:
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         primary = service.primary_node()
-        package = primary._latest_snapshot
+        package = primary._snapshot_package
         victim = next(iter(package["chunks"]))
         chunks = dict(package["chunks"])
         chunks.pop(victim)
-        primary._latest_snapshot = dict(package, chunks=chunks)
+        primary._snapshot_package = dict(package, chunks=chunks)
         primary.storage.delete(f"state_{victim}.chunk")
         joiner = make_joiner(service, "joiner-fallback")
         service.run(0.5)
@@ -139,33 +139,22 @@ class TestChunkedJoin:
         service.run(0.5)
         assert joiner.store.get("records", 30) == "m30"
 
-    def test_legacy_monolithic_join_still_works(self):
-        service = make_service(
-            n_nodes=3, node_config=chunked_config(delta_snapshots=False)
-        )
-        fill(service, 60)
-        node = service.add_node()
-        assert node.ledger.base_seqno > 0
-        service.run(0.5)
-        assert node.store.get("records", 55) == "m55"
-
 
 def _joined_run(seed, mode):
     """One scenario: write, join a node mid-run, write more; return every
     byte-comparable artifact. ``mode`` selects how the joiner gets state:
-    chunked snapshot transfer, legacy monolithic snapshot, or full ledger
-    replay (no snapshot offered at all). Replay mode keeps chunked snapshot
-    *production* on, so the ledger's evidence entries stay comparable — only
-    the transfer mechanism differs."""
-    config = chunked_config(delta_snapshots=(mode != "monolithic"))
-    service = make_service(n_nodes=3, node_config=config, seed=seed)
+    chunked snapshot transfer, or full ledger replay (no snapshot offered at
+    all). Replay mode keeps snapshot *production* on, so the ledger's
+    evidence entries stay comparable — only the transfer mechanism
+    differs."""
+    service = make_service(n_nodes=3, node_config=chunked_config(), seed=seed)
     fill(service, 50)
     primary = service.primary_node()
     if mode == "replay":
         # Withhold the snapshot: the joiner must replay the whole ledger
         # through consensus catch-up. (The snapshot package returns at the
         # next production; evidence entries are unaffected.)
-        primary._latest_snapshot = None
+        primary._snapshot_package = None
     node = service.add_node()
     fill(service, 30, start=100)
     service.run(1.0)
@@ -199,12 +188,3 @@ class TestJoinDifferential:
         assert chunked["kv"] == replay["kv"]
         assert chunked["responses"] == replay["responses"]
         assert chunked["joiner_records"] == replay["joiner_records"]
-
-    def test_chunked_vs_monolithic_same_application_state(self):
-        """Against the legacy monolithic path the ledgers are *legitimately*
-        different (the snapshot evidence digests a manifest vs a sealed
-        blob), but everything the application can observe must agree."""
-        chunked = _joined_run(77, "chunked")
-        monolithic = _joined_run(77, "monolithic")
-        assert chunked["responses"] == monolithic["responses"]
-        assert chunked["joiner_records"] == monolithic["joiner_records"]

@@ -76,18 +76,49 @@ class TestUntrustedHost:
         user.call(service.primary_node().node_id, "/app/write_message",
                   {"id": 1, "msg": secret_text})
         service.run(0.3)
-        from repro.node.wire import FrameSegment, SealedConsensusMessage
+        from repro.node.wire import FrameSegment
 
-        # Consensus traffic travels as per-message seals or coalesced frame
-        # segments depending on frame_coalescing; both are sealed boxes.
-        consensus_messages = [
-            m for m in captured if isinstance(m, (SealedConsensusMessage, FrameSegment))
-        ]
+        # Consensus traffic travels as segments of coalesced sealed frames.
+        consensus_messages = [m for m in captured if isinstance(m, FrameSegment)]
         assert consensus_messages, "expected sealed consensus traffic"
         for message in consensus_messages:
-            box = message.box if isinstance(message, SealedConsensusMessage) else message.frame.box
+            box = message.frame.box
             assert box is not None, "frame left unsealed on the wire"
             assert secret_text.encode() not in box
+
+    def test_host_cannot_inject_unsealed_consensus_messages(self, service):
+        """With secure channels on, a plain consensus message the host puts
+        on the wire is dropped: a forged vote request must not move a
+        backup's view."""
+        from repro.consensus.messages import RequestVote
+
+        primary = service.primary_node()
+        backup = service.backup_nodes()[0]
+        view = primary.consensus.view
+        forged = RequestVote(
+            view=view + 50,
+            candidate_id="ghost",
+            last_signature_txid=backup.ledger.last_signature_txid(),
+        )
+        service.network.send(primary.node_id, backup.node_id, forged)
+        service.run(0.3)
+        assert backup.consensus.view == view
+        assert service.primary_node() is primary
+
+    def test_host_junk_payload_is_dropped(self, service):
+        """An unrecognised payload from the host is dropped, not raised
+        out of the event loop, and the service keeps committing."""
+        primary = service.primary_node()
+        backup = service.backup_nodes()[0]
+        service.network.send(primary.node_id, backup.node_id, "junk")
+        service.run(0.1)
+        user = service.any_user_client()
+        response = user.call(primary.node_id, "/app/write_message", {"id": 1, "msg": "ok"})
+        assert response.ok
+        service.run(0.3)
+        from repro.ledger.entry import TxID
+
+        assert backup.consensus.commit_seqno >= TxID.parse(response.txid).seqno
 
 
 class TestAttestationGate:

@@ -260,12 +260,6 @@ class TestHostStorage:
         with pytest.raises(LedgerError):
             storage.read("x.bin")
 
-    def test_snapshots_pick_latest(self):
-        storage = HostStorage()
-        storage.write_snapshot(10, b"old")
-        storage.write_snapshot(30, b"new")
-        assert storage.latest_snapshot() == (30, b"new")
-
     def test_clone_is_independent(self):
         storage = HostStorage()
         storage.write("a", b"1")

@@ -10,9 +10,9 @@ import random
 
 from repro.app.jsapp.interp import Interpreter
 from repro.app.jsapp.parser import parse
-from repro.crypto import ec, fastec
+from repro.crypto import ec, ecdsa, fastec
 from repro.crypto.aead import AEADKey, nonce_from_counter
-from repro.crypto.ecdsa import SigningKey, clear_verify_memo, set_verify_memo
+from repro.crypto.ecdsa import SigningKey, clear_verify_memo
 from repro.crypto.fastaead import FastAEADKey
 from repro.crypto.merkle import MerkleTree
 from repro.kv.champ import ChampMap
@@ -205,16 +205,14 @@ class TestFastPath:
         fastec.double_scalar_mult(2, 3, point)  # warm the per-point tables
         benchmark(lambda: fastec.double_scalar_mult(self.SCALAR, 12345, point))
 
-    def test_ecdsa_verify_cold(self, benchmark):
+    def test_ecdsa_verify_cold(self, benchmark, monkeypatch):
         """Verify with the memo disabled: the real double-scalar cost."""
         key = SigningKey.generate(b"bench-cold")
         signature = key.sign(b"merkle root")
         public = key.public_key
-        previous = set_verify_memo(False)
-        try:
-            benchmark(lambda: public.verify(signature, b"merkle root"))
-        finally:
-            set_verify_memo(previous)
+        clear_verify_memo()
+        monkeypatch.setattr(ecdsa, "_verify_memo_store", lambda key: None)
+        benchmark(lambda: public.verify(signature, b"merkle root"))
 
     def test_ecdsa_verify_memo_hit(self, benchmark):
         """Repeated verification of one (key, digest, signature) triple."""
@@ -225,7 +223,7 @@ class TestFastPath:
         public.verify(signature, b"merkle root")  # populate
         benchmark(lambda: public.verify(signature, b"merkle root"))
 
-    def test_wall_clock_vs_simulated_time(self, benchmark, capsys):
+    def test_wall_clock_vs_simulated_time(self, benchmark, capsys, monkeypatch):
         """Host wall-clock next to the simulated-time charge for the same op.
 
         The CostModel charge is the number the simulation schedules with; it
@@ -241,12 +239,9 @@ class TestFastPath:
         key = SigningKey.generate(b"bench-two-clocks")
         signature = key.sign(b"merkle root")
         public = key.public_key
-        previous = set_verify_memo(False)
-        try:
-            stats = benchmark(lambda: public.verify(signature, b"merkle root"))
-        finally:
-            set_verify_memo(previous)
-        del stats
+        clear_verify_memo()
+        monkeypatch.setattr(ecdsa, "_verify_memo_store", lambda key: None)
+        benchmark(lambda: public.verify(signature, b"merkle root"))
         host_s = benchmark.stats.stats.mean
         with capsys.disabled():
             print(

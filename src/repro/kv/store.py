@@ -22,22 +22,6 @@ from repro.kv.serialization import (
 )
 from repro.kv.tx import REMOVED, Transaction, WriteSet
 
-# Batched writes go through a transient CHAMP builder (one path copy per
-# batch instead of one per write). The persistent per-write path remains as
-# the differential-testing oracle; flipping this off routes every apply
-# through it (used by tests and repro.obs.kvbench to prove byte-identical
-# results and to measure the speedup).
-TRANSIENT_APPLY = True
-
-
-def set_transient_apply(enabled: bool) -> bool:
-    """Toggle the transient apply fast path; returns the previous setting."""
-    global TRANSIENT_APPLY
-    previous = TRANSIENT_APPLY
-    TRANSIENT_APPLY = bool(enabled)
-    return previous
-
-
 class KVStore:
     """Named maps + version counter + rollback history."""
 
@@ -113,7 +97,7 @@ class KVStore:
             )
         for map_name, entries in write_set.updates.items():
             current = self._maps.get(map_name, ChampMap.empty())
-            if TRANSIENT_APPLY and len(entries) > 1:
+            if len(entries) > 1:
                 # Transient fast path: one ownership token for the whole
                 # per-map batch, so shared trie paths are copied once and
                 # then mutated in place. freeze() returns the identical map

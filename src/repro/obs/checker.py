@@ -82,12 +82,27 @@ class _NodeFold:
 
 
 class TraceChecker:
-    """Feed trace events in order; every fold step is invariant-checked."""
+    """Feed trace events in order; every fold step is invariant-checked.
+
+    The fold is incremental: an event changes one node, so only that node
+    can break an invariant that held before it. Election safety compares
+    the node against the other current primaries, and commit agreement
+    compares its newly committed range against one global committed
+    sequence (every node's committed prefix is a prefix of it). Each event
+    therefore costs O(nodes + newly committed entries), not O(trace). When
+    the cheap check flags a suspect, :func:`model.check_state` and
+    :func:`model.check_edge` on the full abstract state give the verdict
+    and its description, so the verdicts are exactly the model's.
+    """
 
     def __init__(self) -> None:
         self._nodes: dict[str, _NodeFold] = {}
         self._order: list[str] = []  # first-seen order (stable node indexing)
-        self._prev_state: model.State | None = None
+        # The longest committed prefix any node has reached.
+        self._committed: list[tuple[int, bool]] = []
+        # Whether the previous event's state is comparable to this one's;
+        # edge checks compare node-wise, so a new node restarts the chain.
+        self._chained = False
         self.result = CheckResult()
 
     def _node(self, node_id: str) -> _NodeFold:
@@ -97,23 +112,21 @@ class TraceChecker:
             self._nodes[node_id] = fold
             self._order.append(node_id)
             self.result.nodes.append(node_id)
-            # The node set changed shape: edge checks compare states
-            # node-wise, so restart the edge chain from here.
-            self._prev_state = None
+            self._chained = False
         return fold
 
     @property
     def has_gaps(self) -> bool:
         return self.result.has_gaps
 
-    def _abstract_state(self) -> model.State:
-        """The current global abstract state. For gapped traces the logs and
-        commits are zeroed: election safety still checks exactly, while the
-        prefix invariants degrade to trivially-true (reported via has_gaps)."""
+    def _abstract_state(self, gapped: bool) -> model.State:
+        """The global abstract state. For gapped traces the logs and commits
+        are zeroed: election safety still checks exactly, while the prefix
+        invariants degrade to trivially-true (reported via has_gaps)."""
         nodes = []
         for node_id in self._order:
             fold = self._nodes[node_id]
-            if self.result.has_gaps:
+            if gapped:
                 nodes.append((fold.view, fold.role, (), 0))
             else:
                 nodes.append((fold.view, fold.role, tuple(fold.log), fold.commit))
@@ -129,6 +142,8 @@ class TraceChecker:
         fold = self._node(span.node)
         attrs = span.attrs
         self.result.events_checked += 1
+        gapped_before = self.result.has_gaps
+        commit_before = fold.commit
 
         if span.name == "ledger.append":
             seqno, view = attrs["seqno"], attrs["view"]
@@ -177,14 +192,44 @@ class TraceChecker:
             fold.role = model.BACKUP  # candidate: not a primary yet
             fold.view = max(fold.view, attrs["view"])
 
-        state = self._abstract_state()
         self.result.states_checked += 1
-        violation = model.check_state(state)
-        if violation is None and self._prev_state is not None:
-            violation = model.check_edge(self._prev_state, state)
+        violation = self._violation(fold, commit_before, gapped_before)
         if violation is not None:
             return self._fail(span, violation)
-        self._prev_state = state
+        self._chained = True
+        return None
+
+    def _violation(
+        self, fold: _NodeFold, commit_before: int, gapped_before: bool
+    ) -> str | None:
+        """Invariant check after ``fold`` changed; every other node is as it
+        was when the previous event passed."""
+        gapped = self.result.has_gaps
+        suspect = fold.role == model.PRIMARY and any(
+            other is not fold
+            and other.role == model.PRIMARY
+            and other.view == fold.view
+            for other in self._nodes.values()
+        )
+        if not gapped:
+            # Appends land past commit and truncates never cut below it, so
+            # only a commit advance can change a committed prefix.
+            committed = self._committed
+            for index in range(commit_before, fold.commit):
+                if index == len(committed):
+                    committed.append(fold.log[index])
+                elif committed[index] != fold.log[index]:
+                    suspect = True
+                    break
+        if suspect:
+            return model.check_state(self._abstract_state(gapped))
+        if gapped and not gapped_before and self._chained:
+            # The first gap zeroes every commit in the abstract state, which
+            # the edge check sees as a regression of any positive commit.
+            if any(other.commit > 0 for other in self._nodes.values()):
+                return model.check_edge(
+                    self._abstract_state(False), self._abstract_state(True)
+                )
         return None
 
     def _fail(self, span: Span, description: str) -> str:

@@ -18,8 +18,8 @@ import pytest
 from repro.errors import KVError
 from repro.kv.champ import ChampMap
 from repro.kv.serialization import decode_value, encode_value
-from repro.kv.store import KVStore, set_transient_apply
-from repro.kv.tx import WriteSet
+from repro.kv.store import KVStore
+from repro.kv.tx import REMOVED, WriteSet
 from repro.obs.metrics import RUNTIME_STATS
 
 
@@ -130,20 +130,15 @@ def test_from_items_equals_from_dict():
     assert _structure(via_items._root) == _structure(via_dict._root)
 
 
-def _apply_batches(batches: list[dict], transient: bool) -> KVStore:
-    previous = set_transient_apply(transient)
-    try:
-        store = KVStore()
-        for seqno, updates in enumerate(batches, start=1):
-            store.apply_write_set(WriteSet(updates={"private:t": updates}), seqno)
-        return store
-    finally:
-        set_transient_apply(previous)
+def _persistent_apply(champ: ChampMap, updates: dict) -> ChampMap:
+    """The persistent per-write loop: one path copy per write, the oracle
+    for the store's transient batch apply."""
+    for key, value in updates.items():
+        champ = champ.remove(key) if value is REMOVED else champ.set(key, value)
+    return champ
 
 
 def test_apply_write_set_differential_and_bytes():
-    from repro.kv.tx import REMOVED
-
     rng = random.Random("apply-diff")
     batches = []
     for _ in range(40):
@@ -155,10 +150,22 @@ def test_apply_write_set_differential_and_bytes():
             else:
                 updates[key] = rng.randrange(10**6)
         batches.append(updates)
-    fast = _apply_batches(batches, transient=True)
-    oracle = _apply_batches(batches, transient=False)
-    assert dict(fast.items("private:t")) == dict(oracle.items("private:t"))
-    assert fast.serialize() == oracle.serialize()
+    fast = KVStore()
+    oracle = ChampMap.empty()
+    for seqno, updates in enumerate(batches, start=1):
+        before = fast._maps.get("private:t")
+        fast.apply_write_set(WriteSet(updates={"private:t": updates}), seqno)
+        expected = _persistent_apply(before or ChampMap.empty(), updates)
+        after = fast._maps["private:t"]
+        # Same content, same trie, and the same no-op identity semantics.
+        assert _structure(after._root) == _structure(expected._root)
+        assert (after is before) == (expected is before)
+        oracle = _persistent_apply(oracle, updates)
+    assert dict(fast.items("private:t")) == oracle.to_dict()
+    reference = KVStore()
+    reference._maps["private:t"] = oracle
+    reference.version = fast.version
+    assert fast.serialize() == reference.serialize()
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,153 @@ import pytest
 
 from repro.app.logging_app import build_logging_app
 from repro.node.config import NodeConfig
-from repro.obs import ObsCollector, build_tree, check_trace, load_jsonl, profile_spans
-from repro.obs.bench import run_traced_benchmark, verify_causal_trees
+from repro.obs import (
+    ObsCollector,
+    Span,
+    build_tree,
+    check_trace,
+    load_jsonl,
+    profile_spans,
+)
+from repro.service.client import ClosedLoopClient, ServiceClient
 from repro.service.service import CCFService, ServiceSetup
+from repro.sim.metrics import LatencyRecorder, ThroughputRecorder
 
 WRITES = 25
+MESSAGE = "payload-20-chars-xyz"  # the paper's 20-character private message
+
+
+def verify_causal_trees(spans: list[Span]) -> dict:
+    """Check that each committed write request's causal tree is complete.
+
+    A committed write is identified by its closed (not rolled back, not
+    detach-closed) ``commit_wait`` span. Its tree must contain, under the
+    same ``request`` root: an ``execute`` span on the same node, and a
+    ``ledger.append`` event for the same seqno beneath that execute span.
+    """
+    by_id = {span.span_id: span for span in spans}
+    children = build_tree(spans)
+    committed = 0
+    complete = 0
+    problems: list[str] = []
+
+    for span in spans:
+        if span.name != "commit_wait" or span.end is None:
+            continue
+        if span.attrs.get("rolled_back") or span.attrs.get("detached"):
+            continue
+        committed += 1
+        seqno = span.attrs.get("seqno")
+        root = by_id.get(span.parent_id or "")
+        if root is None or root.name != "request":
+            problems.append(f"commit_wait seqno={seqno}: no request root")
+            continue
+        executes = [c for c in children.get(root.span_id, []) if c.name == "execute"]
+        appends = [
+            grandchild
+            for execute in executes
+            for grandchild in children.get(execute.span_id, [])
+            if grandchild.name == "ledger.append"
+            and grandchild.attrs.get("seqno") == seqno
+        ]
+        if not executes:
+            problems.append(f"request {root.trace_id}: no execute span")
+        elif not appends:
+            problems.append(
+                f"request {root.trace_id}: no ledger.append for seqno {seqno}"
+            )
+        else:
+            complete += 1
+
+    return {
+        "committed_writes": committed,
+        "complete_trees": complete,
+        "problems": problems[:10],  # enough to diagnose, bounded output
+    }
+
+
+def run_traced_benchmark(
+    seed: int = 7,
+    n_nodes: int = 5,
+    concurrency: int = 50,
+    warmup: float = 0.1,
+    window: float = 0.4,
+    signature_interval: int = 20,
+) -> dict:
+    """The Figure-7 logging workload with a collector attached from before
+    bootstrap: simulated throughput and latency, the span-attributed
+    profile, causal-tree completeness, trace conformance, and this run's
+    fast-path counter deltas."""
+    collector = ObsCollector(seed=seed)
+    # Fast-path cache counters are process-global; report this run's deltas.
+    fastpath_start = dict(collector.export_fastpath_stats())
+    service = CCFService(
+        ServiceSetup(
+            n_nodes=n_nodes,
+            node_config=NodeConfig(
+                signature_interval=signature_interval,
+                signature_flush_time=0.01,
+                worker_threads=10,
+            ),
+            app_factory=build_logging_app,
+            seed=seed,
+        )
+    )
+    # Attach before bootstrap: nodes self-wire their ledger/store/enclave
+    # at creation, so even genesis appends land in the trace.
+    collector.attach_to_service(service)
+    service.bootstrap()
+
+    primary = service.primary_node()
+    user = service.users[0]
+    credentials = {"certificate": user.certificate.to_dict()}
+    endpoint = ServiceClient(
+        service.scheduler, service.network, name="obs-bench-writer", identity=user
+    )
+    throughput = ThroughputRecorder()
+    latency = LatencyRecorder()
+
+    def factory(i: int):
+        return "/app/write_message", {"id": i % 100, "msg": MESSAGE}, credentials
+
+    client = ClosedLoopClient(
+        endpoint,
+        primary.node_id,
+        factory,
+        concurrency=concurrency,
+        throughput=throughput,
+        latency=latency,
+        retry_timeout=2.0,
+    )
+    client.start()
+    service.run(warmup)
+    start = service.scheduler.now
+    service.run(window)
+    end = service.scheduler.now
+    client.stop()
+    service.run(0.1)  # drain in-flight requests so their roots close
+
+    conformance = check_trace(collector.spans)
+    fastpath_end = collector.export_fastpath_stats()
+    return {
+        "writes_per_second": throughput.throughput(start, end),
+        "latency": {
+            "p50": latency.percentile(50),
+            "p99": latency.percentile(99),
+        },
+        "profile": profile_spans(collector.spans).to_dict(),
+        "causal_trees": verify_causal_trees(collector.spans),
+        "conformance": {
+            "ok": conformance.ok,
+            "violation": conformance.violation,
+            "events_checked": conformance.events_checked,
+        },
+        "errors": client.errors,
+        "fastpath": {
+            name: value - fastpath_start.get(name, 0)
+            for name, value in sorted(fastpath_end.items())
+        },
+    }
 
 
 def _build_service(seed: int) -> CCFService:
@@ -217,3 +359,15 @@ class TestBench:
         assert result["writes_per_second"] > 0
         assert result["latency"]["p99"] >= result["latency"]["p50"] > 0
         assert result["profile"]["p99_breakdown"]
+        # The live workload must engage each fast-path layer: comb signing,
+        # wNAF verification, serialize-once AppendEntries batches, and at
+        # least one cache. A call site quietly reverted to the slow path
+        # would keep every result correct and zero these counters.
+        fastpath = result["fastpath"]
+        for name in ("fastec.generator_mults", "fastec.double_mults", "ae_encode.reuses"):
+            assert fastpath.get(name, 0) > 0, name
+        assert sum(
+            value
+            for name, value in fastpath.items()
+            if name.endswith((".hits", ".reuses"))
+        ) > 0, fastpath
